@@ -624,11 +624,20 @@ func queryString(req *http.Request) string {
 	return "?" + req.URL.RawQuery
 }
 
+// copyBufPool recycles flushCopy's chunk buffers: the router proxies
+// every request through one, and a fresh 32 KiB buffer each time was the
+// proxy hop's largest allocation.
+var copyBufPool = sync.Pool{
+	New: func() any { b := make([]byte, 32<<10); return &b },
+}
+
 // flushCopy streams src to w, flushing after every chunk so NDJSON
 // dispatch feeds stay live through the proxy hop.
 func flushCopy(w http.ResponseWriter, src io.Reader) {
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := copyBufPool.Get().(*[]byte)
+	defer copyBufPool.Put(bp)
+	buf := *bp
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {

@@ -9,14 +9,14 @@ import (
 )
 
 // enginePolicies is every policy the equivalence tests exercise: the four
-// paper policies (PF goes through the Comparer's exact-fallback memo) and
+// paper policies (PF ties among b = 1 subtasks take the exact fallback) and
 // the ablations (which have no key fast path at all).
 func enginePolicies() []prio.Policy {
 	return append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{})
 }
 
-// TestEngineEquivalence pins the fast-path RunDVQ (indexed ready heap,
-// cached priority keys, typed event queue) to the retained seed
+// TestEngineEquivalence pins the fast-path RunDVQ — the online executive's
+// keyed head heaps, through the driver — to the retained seed
 // implementation RunDVQReference: on the fuzz-corpus configurations —
 // extended with a few more drawn from the same space — the two must
 // produce schedules that are equal assignment-for-assignment, for every

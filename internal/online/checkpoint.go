@@ -132,6 +132,9 @@ func Restore(cp Checkpoint) (*Executive, error) {
 		e.lastFin = append(e.lastFin, lastFin)
 		e.nextIdx = append(e.nextIdx, tc.NextIdx)
 		e.active = append(e.active, tc.Active)
+		if tc.Cursor < nsubs {
+			e.activate(e.sys.Subtasks(t)[tc.Cursor])
+		}
 		if tc.Active {
 			e.activeUtil = e.activeUtil.Add(w.Rat())
 		}

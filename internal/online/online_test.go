@@ -4,11 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"desyncpfair/internal/core"
 	"desyncpfair/internal/gen"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
-	"desyncpfair/internal/sched"
 )
 
 func TestRegisterAdmissionControl(t *testing.T) {
@@ -34,94 +32,6 @@ func TestNewPanicsOnBadM(t *testing.T) {
 		}
 	}()
 	New(0, nil)
-}
-
-// Submitting jobs exactly at their period boundaries reproduces the
-// synchronous periodic window pattern, and the executive's dispatch matches
-// the offline DVQ engine exactly.
-func TestPeriodicSubmissionMatchesOfflineDVQ(t *testing.T) {
-	weights := []model.Weight{model.W(1, 2), model.W(3, 4), model.W(1, 4), model.W(1, 2)}
-	const m, horizon = 2, 12
-
-	ex := New(m, nil)
-	tasks := make([]*model.Task, len(weights))
-	for i, w := range weights {
-		task, err := ex.Register(string(rune('A'+i)), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks[i] = task
-	}
-	y := gen.UniformYield(17, 8)
-	// Submit each task's jobs at its period boundaries, advancing time.
-	for slot := int64(0); slot < horizon; slot++ {
-		for i, w := range weights {
-			if slot%w.P == 0 {
-				if err := ex.SubmitJob(tasks[i], rat.FromInt(slot)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := ex.Run(rat.FromInt(slot+1), yieldByLabel(y), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ex.Drain(yieldByLabel(y)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.System().Validate(); err != nil {
-		t.Fatalf("generated system invalid: %v", err)
-	}
-	if err := ex.Schedule().ValidateDVQ(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Offline reference on the equivalent periodic system.
-	ref := model.Periodic(weights, horizon)
-	refSched, err := core.RunDVQ(ref, core.DVQOptions{M: m, Yield: yieldByLabel(y)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare per-subtask start times through (task name, index) keys.
-	refStarts := map[string]rat.Rat{}
-	for _, a := range refSched.Assignments() {
-		refStarts[a.Sub.String()] = a.Start
-	}
-	for _, a := range ex.Schedule().Assignments() {
-		want, ok := refStarts[a.Sub.String()]
-		if !ok {
-			t.Fatalf("online dispatched %s, absent offline", a.Sub)
-		}
-		if !a.Start.Equal(want) {
-			t.Errorf("%s online at %s, offline at %s", a.Sub, a.Start, want)
-		}
-	}
-	if ex.Schedule().Len() != refSched.Len() {
-		t.Errorf("dispatched %d, offline %d", ex.Schedule().Len(), refSched.Len())
-	}
-}
-
-// yieldByLabel makes a yield function keyed by the subtask's (name, index)
-// label so online and offline runs (distinct Subtask pointers and task IDs)
-// see identical costs.
-func yieldByLabel(base sched.YieldFn) sched.YieldFn {
-	type key struct {
-		name string
-		idx  int64
-	}
-	memo := map[key]rat.Rat{}
-	return func(s *model.Subtask) rat.Rat {
-		k := key{s.Task.Name, s.Index}
-		if c, ok := memo[k]; ok {
-			return c
-		}
-		// Derive deterministically from the label, not the pointer: rehash
-		// through a fixed fake subtask identity.
-		fake := &model.Subtask{Task: &model.Task{ID: int(k.name[0])}, Index: k.idx}
-		c := base(fake)
-		memo[k] = c
-		return c
-	}
 }
 
 // Sporadic arrivals: jobs submitted late produce right-shifted (IS) windows
