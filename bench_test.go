@@ -526,7 +526,7 @@ func BenchmarkExecDispatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%256 == 0 {
 					reset()
-					decisions -= ex.Schedule().Len()
+					decisions -= len(ex.History())
 					runtime.ReadMemStats(&ms)
 					mallocs -= ms.Mallocs
 					b.StartTimer()
@@ -536,7 +536,7 @@ func BenchmarkExecDispatch(b *testing.B) {
 					b.StopTimer()
 					runtime.ReadMemStats(&ms)
 					mallocs += ms.Mallocs
-					decisions += ex.Schedule().Len()
+					decisions += len(ex.History())
 				}
 			}
 			d := float64(max(decisions, 1))

@@ -10,18 +10,20 @@ import (
 
 // Checkpoint is a serializable image of an Executive's full micro-state:
 // everything a Restore needs to continue making byte-identical scheduling
-// decisions. Dispatched history (the schedule itself) is deliberately NOT
-// part of it — a restored executive starts an empty schedule and only the
-// dispatch cursors, completion times, and event queue carry forward. That
-// keeps checkpoints proportional to live state while preserving the
-// determinism recovery relies on: same checkpoint + same subsequent calls
-// ⇒ same dispatch sequence. Rationals travel as exact strings.
+// decisions. The dispatch history (History, and the Schedule built from
+// it) is deliberately NOT part of it: a restored executive starts with an
+// empty history — its decision counter, dispatch cursors, completion
+// times and event queue carry forward — until the caller hands the
+// earlier records back with RestoreHistory. That keeps checkpoints
+// proportional to live state while preserving the determinism recovery
+// relies on: same checkpoint + same subsequent calls ⇒ same dispatch
+// sequence. Rationals travel as exact strings.
 type Checkpoint struct {
 	M        int              `json:"m"`
 	Policy   string           `json:"policy"`
 	Now      string           `json:"now"`
 	FreeAt   []string         `json:"freeAt"`
-	Decision int              `json:"decision"`
+	Decision int64            `json:"decision"`
 	Pending  int              `json:"pending"`
 	Events   []string         `json:"events,omitempty"` // queued event times, sorted
 	Tasks    []TaskCheckpoint `json:"tasks,omitempty"`

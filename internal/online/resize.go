@@ -56,8 +56,6 @@ func (e *Executive) Resize(m int) error {
 	e.m = m
 	// The schedule's M is the validation bound for per-slot parallelism and
 	// processor indices over the whole history, so it only ever grows.
-	if m > e.schedule.M {
-		e.schedule.M = m
-	}
+	e.maxM = max(e.maxM, m)
 	return nil
 }

@@ -159,7 +159,9 @@ func cmpInt(a, b int) int {
 	}
 }
 
-// ByName returns the policy with the given name, or nil.
+// ByName returns the policy with the given name, or nil. Besides the four
+// policies of All it resolves the two PD² ablations (ablation.go) by their
+// Name, so a checkpoint taken under either restores.
 func ByName(name string) Policy {
 	switch name {
 	case "EPDF", "epdf":
@@ -170,6 +172,10 @@ func ByName(name string) Policy {
 		return PD{}
 	case "PD2", "pd2", "PD^2":
 		return PD2{}
+	case PD2NoGroup{}.Name():
+		return PD2NoGroup{}
+	case PD2NoBBit{}.Name():
+		return PD2NoBBit{}
 	}
 	return nil
 }

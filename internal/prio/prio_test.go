@@ -227,7 +227,7 @@ func TestPropOrderTotal(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"EPDF", "PF", "PD", "PD2"} {
+	for _, name := range []string{"EPDF", "PF", "PD", "PD2", "PD2-noD", "PD2-nob"} {
 		p := ByName(name)
 		if p == nil || p.Name() != name {
 			t.Errorf("ByName(%q) = %v", name, p)

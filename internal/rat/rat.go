@@ -14,6 +14,7 @@ package rat
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // Rat is an immutable rational number n/d in lowest terms with d > 0.
@@ -259,9 +260,20 @@ func (r Rat) Float64() float64 { return float64(r.n) / float64(r.den()) }
 // String formats r as "n" when integral and "n/d" otherwise.
 func (r Rat) String() string {
 	if r.IsInt() {
-		return fmt.Sprintf("%d", r.n)
+		return strconv.FormatInt(r.n, 10)
 	}
-	return fmt.Sprintf("%d/%d", r.n, r.den())
+	return string(r.Append(nil))
+}
+
+// Append appends the String form of r to b: formatting into a reused
+// buffer allocates nothing.
+func (r Rat) Append(b []byte) []byte {
+	b = strconv.AppendInt(b, r.n, 10)
+	if r.IsInt() {
+		return b
+	}
+	b = append(b, '/')
+	return strconv.AppendInt(b, r.den(), 10)
 }
 
 // FloorDiv returns ⌊a/b⌋ for int64 a and b > 0.

@@ -147,6 +147,12 @@ func TestString(t *testing.T) {
 	if got := FromInt(-4).String(); got != "-4" {
 		t.Errorf("String(-4) = %q", got)
 	}
+	// Append writes the same form after whatever b holds.
+	for _, r := range []Rat{{}, New(-7, 3), FromInt(1 << 40), New(1, 1<<20)} {
+		if got, want := string(r.Append([]byte("x="))), "x="+r.String(); got != want {
+			t.Errorf("Append(%s) = %q, want %q", r, got, want)
+		}
+	}
 }
 
 func TestMinMaxSum(t *testing.T) {

@@ -62,19 +62,36 @@ func New(sys *model.System, m int, algo, mdl string) *Schedule {
 	}
 }
 
+// NewFrom creates the schedule of sys on m processors holding asgs, in
+// decision order. The schedule takes ownership of asgs and points into it,
+// so a whole history costs one allocation instead of one per Add. Like
+// Add, it panics if a subtask appears twice.
+func NewFrom(sys *model.System, m int, algo, mdl string, asgs []Assignment) *Schedule {
+	s := New(sys, m, algo, mdl)
+	s.asgs = make([]*Assignment, 0, len(asgs))
+	for i := range asgs {
+		s.add(&asgs[i])
+	}
+	return s
+}
+
 // Add records an assignment. It panics if the subtask was already scheduled
 // — engines must schedule each subtask exactly once.
 func (s *Schedule) Add(a Assignment) *Assignment {
+	cp := a
+	s.add(&cp)
+	return &cp
+}
+
+func (s *Schedule) add(a *Assignment) {
 	if _, dup := s.bySub[a.Sub]; dup {
 		panic(fmt.Sprintf("sched: %s scheduled twice", a.Sub))
 	}
 	if a.Decision == 0 {
 		a.Decision = len(s.asgs)
 	}
-	cp := a
-	s.asgs = append(s.asgs, &cp)
-	s.bySub[a.Sub] = &cp
-	return &cp
+	s.asgs = append(s.asgs, a)
+	s.bySub[a.Sub] = a
 }
 
 // Of returns the assignment of sub, or nil if sub is unscheduled.

@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
+	"unicode/utf8"
+
+	"desyncpfair/internal/online"
 )
 
 // This file is the egress side of the encode-once plane. Records are
 // serialized to NDJSON wire bytes exactly once, by the goroutine that
-// owns them — the tenant loop for dispatch events (Tenant.record), the
+// owns them — the tenant loop for dispatch events (Tenant.record, once a
+// follower has attached; FramesSince encodes the rest on demand), the
 // trace ring for trace events (obs.Ring.FramesSince), the WAL appender
 // for replication frames (wal.Reader.NextRaw ships the on-disk payload)
 // — and every subscriber writes the cached frames by reference. The
@@ -49,16 +54,57 @@ type StreamGone struct {
 	ResumeFrom int64  `json:"resumeFrom"`
 }
 
-// marshalDispatchFrame renders ev exactly as a json.Encoder would:
-// Marshal plus a trailing newline. Byte identity with the per-subscriber
-// encoder it replaced is what lets the frame cache swap in invisibly.
-func marshalDispatchFrame(ev DispatchEvent) []byte {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		// DispatchEvent is plain ints and strings; Marshal cannot fail.
-		b = []byte("{}")
+// appendDispatchJSON appends decision seq of a history — record r of the
+// task named task — as the JSON object json.Marshal produces for its
+// DispatchEvent, byte for byte, without building the event or its
+// strings. Byte identity with Marshal is what lets the frame cache, the
+// on-demand encoder and the checkpoint log all stand in for it.
+func appendDispatchJSON(b []byte, seq int64, task string, r *online.Record) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, `,"task":`...)
+	b = appendJSONString(b, task)
+	b = append(b, `,"index":`...)
+	b = strconv.AppendInt(b, r.Index, 10)
+	b = append(b, `,"proc":`...)
+	b = strconv.AppendInt(b, int64(r.Proc), 10)
+	b = append(b, `,"start":"`...)
+	b = r.Start.Append(b)
+	b = append(b, `","finish":"`...)
+	b = r.Finish.Append(b)
+	b = append(b, `","deadline":`...)
+	b = strconv.AppendInt(b, r.Deadline, 10)
+	b = append(b, `,"tardiness":"`...)
+	b = r.Tardiness().Append(b)
+	return append(b, `"}`...)
+}
+
+// appendDispatchFrame appends the NDJSON frame of a decision: its JSON
+// object plus the newline a json.Encoder writes.
+func appendDispatchFrame(b []byte, seq int64, task string, r *online.Record) []byte {
+	return append(appendDispatchJSON(b, seq, task, r), '\n')
+}
+
+// dispatchFrame encodes one decision's frame into its own buffer, sized so
+// a typical frame takes one allocation.
+func dispatchFrame(seq int64, task string, r *online.Record) []byte {
+	return appendDispatchFrame(make([]byte, 0, 128+len(task)), seq, task, r)
+}
+
+// appendJSONString appends s as json.Marshal quotes it. Names made of
+// printable ASCII that Marshal leaves alone are copied directly; anything
+// else (quotes, backslashes, HTML-escaped <>&, control bytes, non-ASCII)
+// goes through Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	return append(b, '\n')
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // frameWriter writes cached NDJSON frames to one streaming response. It

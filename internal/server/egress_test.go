@@ -19,6 +19,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -310,6 +312,49 @@ func (l smallWriteBufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
+// closeWatchListener lets a test wait for the server to close the
+// connection a given client address dialed.
+type closeWatchListener struct {
+	net.Listener
+	mu    sync.Mutex
+	chans map[string]chan struct{}
+}
+
+// closed returns the channel closed when the server closes the
+// connection from addr (accepted or not yet).
+func (l *closeWatchListener) closed(addr string) chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.chans == nil {
+		l.chans = map[string]chan struct{}{}
+	}
+	ch, ok := l.chans[addr]
+	if !ok {
+		ch = make(chan struct{})
+		l.chans[addr] = ch
+	}
+	return ch
+}
+
+func (l *closeWatchListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return c, err
+	}
+	return &closeWatchConn{Conn: c, ch: l.closed(c.RemoteAddr().String())}, nil
+}
+
+type closeWatchConn struct {
+	net.Conn
+	once sync.Once
+	ch   chan struct{}
+}
+
+func (c *closeWatchConn) Close() error {
+	c.once.Do(func() { close(c.ch) })
+	return c.Conn.Close()
+}
+
 // smallReadBufTransport dials with a tiny kernel receive buffer, the
 // client half of the same backpressure setup.
 func smallReadBufTransport() *http.Transport {
@@ -440,7 +485,8 @@ func TestStreamStallSeversWedgedReader(t *testing.T) {
 	srv := server.New()
 	srv.SetStreamPolicy(-1, 300*time.Millisecond) // isolate the stall path
 	hs := httptest.NewUnstartedServer(srv.Handler())
-	hs.Listener = smallWriteBufListener{hs.Listener}
+	watch := &closeWatchListener{Listener: smallWriteBufListener{hs.Listener}}
+	hs.Listener = watch
 	hs.Start()
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
@@ -460,8 +506,16 @@ func TestStreamStallSeversWedgedReader(t *testing.T) {
 	pumpDispatches(t, c, "acme", 4, 12, 64)
 
 	// Once the stall deadline fires the handler returns and the server
-	// closes the connection: a bounded read-drain must reach an end (EOF
-	// or reset) rather than time out against a still-open stream.
+	// closes the connection. Wait for that close before reading: a read
+	// that starts while the handler is still blocked, short of the
+	// deadline, drains the pipe and unwedges it.
+	select {
+	case <-watch.closed(conn.LocalAddr().String()):
+	case <-time.After(10 * time.Second):
+		t.Fatal("connection still open: stall deadline did not sever the wedged reader")
+	}
+	// The client end sees the cut: a bounded read-drain reaches an end
+	// (EOF or reset) rather than time out against a still-open stream.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	rd := bufio.NewReader(conn)
 	for {
@@ -491,5 +545,120 @@ func TestStreamStallSeversWedgedReader(t *testing.T) {
 	}
 	if want := int64(4 * 12 * 64); n != want {
 		t.Fatalf("fresh replay saw %d events, want %d", n, want)
+	}
+}
+
+// TestRestartServesIdenticalFrames restarts a durable tenant from its
+// snapshot and requires its ?from=0 dispatch stream to be byte-identical
+// to the stream before the restart. The dispatch log lives only in the
+// executive's history; the snapshot stores it formatted, and the restart
+// parses it back into history records, so this pins the whole round trip:
+// frames encoded on demand and frames cached for a follower (which
+// attaches mid-log), task names that take JSON's escaping path, a name
+// re-registered after an unregister, and processors a shrink retired
+// before the snapshot. The boot snapshot the restarted server writes
+// must also equal, byte for byte, the one it restarted from.
+func TestRestartServesIdenticalFrames(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	start := func() (*server.Server, *client.Client, *httptest.Server) {
+		srv, err := server.Open(server.Options{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		return srv, client.New(hs.URL, hs.Client()), hs
+	}
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, c, hs := start()
+	names := []string{"web", "a<b>&c", `q"uote`, "naïve-日本"}
+	must(c.CreateTenant(ctx, "acme", 2, ""))
+	for _, name := range names {
+		must(c.RegisterTask(ctx, "acme", name, model.W(1, 3)))
+	}
+	must(c.RegisterTask(ctx, "acme", "tmp", model.W(1, 2)))
+	pump := func(rounds int) {
+		for range rounds {
+			for _, name := range append(names, "tmp") {
+				must(c.SubmitJob(ctx, "acme", name, ""))
+			}
+			must(c.AdvanceBy(ctx, "acme", "3"))
+		}
+	}
+	must(c.Resize(ctx, "acme", 4, false))
+	pump(3)
+	must(c.Resize(ctx, "acme", 2, false))
+	must(c.Drain(ctx, "acme"))
+	if err := c.UnregisterTask(ctx, "acme", "tmp"); err != nil {
+		t.Fatal(err)
+	}
+	must(c.RegisterTask(ctx, "acme", "tmp", model.W(1, 2)))
+
+	// A follower attaches mid-log: from here on the loop caches frames.
+	fctx, cancel := context.WithCancel(ctx)
+	st, err := c.StreamDispatches(fctx, "acme", 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(st.Next()) // the subscription is live once the backlog flows
+	pump(4)
+	must(c.Drain(ctx, "acme"))
+	cancel()
+	st.Close()
+
+	url := "/v1/tenants/acme/dispatches?from=0&follow=false"
+	before := ndjsonLines(t, hs.URL+url)
+	for i, ln := range before {
+		var ev server.DispatchEvent
+		if err := json.Unmarshal(ln, &ev); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if want, _ := json.Marshal(ev); !bytes.Equal(ln, append(want, '\n')) {
+			t.Fatalf("line %d is not json.Marshal's:\n got %swant %s\n", i, ln, want)
+		}
+		if ev.Seq != int64(i) {
+			t.Fatalf("line %d has seq %d", i, ev.Seq)
+		}
+	}
+	hs.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, c, hs = start()
+	defer hs.Close()
+	defer srv.Close()
+	if rec := srv.Recovery(); rec.RecordsReplayed != 0 || rec.DispatchMismatches != 0 || rec.ReplayErrors != 0 {
+		t.Fatalf("restart replayed a tail or failed: %+v", rec)
+	}
+	after := ndjsonLines(t, hs.URL+url)
+	if len(after) != len(before) {
+		t.Fatalf("%d frames after restart, %d before", len(after), len(before))
+	}
+	for i := range before {
+		if !bytes.Equal(after[i], before[i]) {
+			t.Fatalf("frame %d after restart:\n%s\nbefore:\n%s", i, after[i], before[i])
+		}
+	}
+	boot, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(boot, snap) {
+		t.Fatalf("boot snapshot differs from the one restored:\n%s\nvs\n%s", boot, snap)
+	}
+	// The restored history keeps growing in place.
+	pump(1)
+	if grown := ndjsonLines(t, hs.URL+url); len(grown) <= len(before) || !bytes.Equal(grown[len(before)-1], before[len(before)-1]) {
+		t.Fatalf("log after restart and more work: %d frames, want > %d with the old prefix", len(grown), len(before))
 	}
 }

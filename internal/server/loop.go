@@ -225,21 +225,31 @@ func (t *Tenant) finish(c *command, res cmdResult) {
 	c.done <- res
 }
 
-// flushAfterApply journals the dispatch records the last apply buffered
-// as one frame group (they follow their command record in the journal,
-// preceding the next command).
+// flushAfterApply journals the decisions the last apply made as one frame
+// group of dispatch records formatted from the history (they follow their
+// command record in the journal, preceding the next command).
 func (t *Tenant) flushAfterApply() {
-	if len(t.pendDisp) == 0 {
+	hist := t.ex.History()
+	if t.journaled == len(hist) {
 		return
 	}
 	if h := t.hooks.Load(); h != nil {
+		recs := t.pendDisp[:0]
+		for seq := t.journaled; seq < len(hist); seq++ {
+			r := &hist[seq]
+			recs = append(recs, wal.Record{
+				Op: wal.OpDispatch, Tenant: t.id,
+				Name: t.names[r.Task], DSeq: int64(seq), Index: r.Index, Finish: r.Finish.String(),
+			})
+		}
 		// Dispatch records are verification-only: recovery regenerates
 		// decisions by replaying commands and checks them against these.
 		// An append error here already wedged the log, so the following
 		// command will fail loudly; nothing to do with it now.
-		_, _ = h.batch(t.pendDisp)
+		_, _ = h.batch(recs)
+		t.pendDisp = recs[:0]
 	}
-	t.pendDisp = t.pendDisp[:0]
+	t.journaled = len(hist)
 }
 
 // processSubmitRun executes a maximal run of consecutive single submits

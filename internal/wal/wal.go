@@ -52,6 +52,7 @@ import (
 	iofs "io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -726,7 +727,9 @@ func (l *Log) ShouldCompact() bool {
 // Compact atomically installs payload as the new snapshot, covering every
 // record appended so far, then rolls to a fresh segment and removes the
 // stale ones. The caller must guarantee payload reflects exactly the state
-// after the last appended record (pfaird quiesces mutations around it).
+// after the last appended record (pfaird quiesces mutations around it),
+// and that it is valid JSON: it is written verbatim, unscanned (pfaird
+// passes json.Marshal output).
 func (l *Log) Compact(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -768,10 +771,7 @@ func (l *Log) Compact(payload []byte) error {
 // the write-tmp / fsync / rename / fsync-dir sequence. Called with l.mu
 // held.
 func (l *Log) writeSnapshotLocked(sf snapshotFile) error {
-	buf, err := json.Marshal(sf)
-	if err != nil {
-		return err
-	}
+	buf := sf.appendJSON(make([]byte, 0, len(sf.Payload)+96))
 	tmp := filepath.Join(l.dir, snapshotTmp)
 	f, err := l.fs.Create(tmp)
 	if err != nil {
@@ -830,6 +830,10 @@ func (l *Log) InstallSnapshot(payload []byte, lsn, term uint64) error {
 	}
 	if term < l.term {
 		return fmt.Errorf("%w: snapshot term %d < log term %d", ErrStaleTerm, term, l.term)
+	}
+	// The payload came off the network and is written verbatim.
+	if !json.Valid(payload) {
+		return fmt.Errorf("wal: snapshot payload is not valid JSON")
 	}
 	sf := snapshotFile{LSN: lsn, Term: term, CRC: crc32.ChecksumIEEE(payload), Payload: payload}
 	if err := l.writeSnapshotLocked(sf); err != nil {
@@ -968,6 +972,29 @@ type snapshotFile struct {
 	Term    uint64          `json:"term,omitempty"`
 	CRC     uint32          `json:"crc"`
 	Payload json.RawMessage `json:"payload"`
+}
+
+// appendJSON appends sf as json.Marshal encodes it, but copies the payload
+// verbatim where Marshal would re-scan and re-compact it. The bytes are
+// identical whenever the payload is already compact, HTML-escaped JSON —
+// which json.Marshal output always is — and the CRC always covers exactly
+// the payload bytes on disk.
+func (sf *snapshotFile) appendJSON(b []byte) []byte {
+	b = append(b, `{"lsn":`...)
+	b = strconv.AppendUint(b, sf.LSN, 10)
+	if sf.Term != 0 {
+		b = append(b, `,"term":`...)
+		b = strconv.AppendUint(b, sf.Term, 10)
+	}
+	b = append(b, `,"crc":`...)
+	b = strconv.AppendUint(b, uint64(sf.CRC), 10)
+	b = append(b, `,"payload":`...)
+	if len(sf.Payload) == 0 {
+		b = append(b, "null"...) // what Marshal writes for a nil RawMessage
+	} else {
+		b = append(b, sf.Payload...)
+	}
+	return append(b, '}')
 }
 
 func readSnapshot(fs FS, path string) ([]byte, uint64, uint64, error) {

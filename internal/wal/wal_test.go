@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -156,6 +158,61 @@ func TestCompactionSupersedesLog(t *testing.T) {
 	}
 	if rec.Records[0].LSN != 6 || rec.Records[1].LSN != 7 {
 		t.Fatalf("tail LSNs = %d,%d want 6,7", rec.Records[0].LSN, rec.Records[1].LSN)
+	}
+}
+
+// TestSnapshotFileMatchesMarshal pins the snapshot file format: the
+// envelope is written by hand with the payload copied verbatim, and the
+// file must equal what json.Marshal makes of the same snapshotFile for a
+// payload as json.Marshal produces it — here one with HTML-escaped <>&
+// and raw non-ASCII text — with and without a term.
+func TestSnapshotFileMatchesMarshal(t *testing.T) {
+	payload, err := json.Marshal(map[string]string{"task": "<a&b> naïve 日本 \u2028"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, term := range []uint64{0, 7} {
+		dir := t.TempDir()
+		l, _ := mustOpen(t, dir, Options{})
+		if term > 0 {
+			if err := l.SetTerm(term); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendN(t, l, 3)
+		if err := l.Compact(payload); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		got, err := os.ReadFile(filepath.Join(dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(snapshotFile{LSN: 3, Term: term, CRC: crc32.ChecksumIEEE(payload), Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("term %d: snapshot file\n%s\nwant json.Marshal's\n%s", term, got, want)
+		}
+		l2, rec := mustOpen(t, dir, Options{})
+		if !bytes.Equal(rec.Snapshot, payload) {
+			t.Fatalf("term %d: recovered payload %s, want %s", term, rec.Snapshot, payload)
+		}
+		l2.Close()
+	}
+}
+
+// TestInstallSnapshotRejectsInvalidJSON: an installed payload arrives off
+// the network and is written verbatim, so it must be checked first.
+func TestInstallSnapshotRejectsInvalidJSON(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	if err := l.InstallSnapshot([]byte(`{"tenants":[`), 5, 1); err == nil {
+		t.Fatal("InstallSnapshot accepted a truncated payload")
+	}
+	if err := l.InstallSnapshot([]byte(`{"tenants":[]}`), 5, 1); err != nil {
+		t.Fatalf("InstallSnapshot: %v", err)
 	}
 }
 
