@@ -140,7 +140,7 @@ func TestSnapshotReadersSeeClosedTenantState(t *testing.T) {
 	if got := tn.Info(); got != want {
 		t.Fatalf("Info after close = %+v, want %+v", got, want)
 	}
-	if got := len(tn.EventsSince(0)); int64(got) != want.Dispatches {
-		t.Fatalf("EventsSince after close returned %d events, want %d", got, want.Dispatches)
+	if got := len(tn.FramesSince(0)); int64(got) != want.Dispatches {
+		t.Fatalf("FramesSince after close returned %d frames, want %d", got, want.Dispatches)
 	}
 }
